@@ -68,34 +68,32 @@ BENCH_GATE_COUNT ?= 5
 BENCH_GATE ?= 0.95
 
 # Runs the analysis benchmarks (one process per group, appended into one
-# transcript) and writes BENCH_pr9.json: ratios against the checked-in
+# transcript) and writes BENCH_pr14.json: ratios against the checked-in
 # pre-refactor baseline (bench/baseline_pr2.txt) plus a speedup_vs_prev diff
-# against the recorded PR 8 run (BENCH_pr8.json). Benchmarks new in this PR
-# (the event-bus publish trio) carry "no_prev": true instead of a diff.
+# against the previous record (BENCH_pr9.json).
 bench:
-	: > bench/current_pr9.txt
+	: > bench/current_pr14.txt
 	for g in $(BENCH_GROUPS); do \
 		case "$$g" in \
 			BenchmarkFig) t=$(BENCH_TIME_FIG) ;; \
 			BenchmarkFleetThroughput) t=$(BENCH_TIME_FLEET) ;; \
 			*) t=$(BENCH_TIME) ;; \
 		esac; \
-		$(GO) test -run '^$$' -bench "$$g" -benchtime $$t -count $(BENCH_COUNT) -benchmem . | tee -a bench/current_pr9.txt || exit 1; \
+		$(GO) test -run '^$$' -bench "$$g" -benchtime $$t -count $(BENCH_COUNT) -benchmem . | tee -a bench/current_pr14.txt || exit 1; \
 	done
-	$(GO) run ./cmd/benchjson -baseline bench/baseline_pr2.txt -prev BENCH_pr8.json -out BENCH_pr9.json \
-		-note 'BusPublish/inactive is the per-publish-site tax of an unobserved fleet (the Active gate); subscriber and stalled are the live fan-out and the drop-oldest worst case, all alloc-free. FleetThroughput vs-prev reflects machine-load drift, not code: a same-machine A/B of the pr8 tree measures the same ~145ms' \
-		< bench/current_pr9.txt
+	$(GO) run ./cmd/benchjson -baseline bench/baseline_pr2.txt -prev BENCH_pr9.json -out BENCH_pr14.json \
+		-note 'Dex method signatures are rendered once per file (dex.File.SignatureAt) and the emulator reserves its in-memory capture from the planned traffic; FleetThroughput (synth, store put, emulation, disassembly) carries the gain. The other benchmarks do not run the changed paths: their vs-prev ratios below 1 are host drift since the BENCH_pr9.json record, and a same-host A/B of the parent tree measures them equal within noise (OfflineAnalysisPerApp 818 vs 797 us, StorePointLookup 77.0 vs 76.7 us)' \
+		< bench/current_pr14.txt
 
 # Regression gate: re-runs the gated benchmark groups and fails (exit 2)
 # when any benchmark with a previous measurement drops below $(BENCH_GATE)
-# of its recorded speed in the committed BENCH_pr8.json — the same
+# of its recorded speed in the committed BENCH_pr14.json — the same
 # measurement regime, so every ratio is comparable. Benchmarks without a
-# prior record (the event-bus trio, new in PR 9) pass vacuously, as do
-# sub-microsecond ones (cached figure reads at ~1ns measure timer jitter,
-# not work). FleetThroughput is the one wall-clock benchmark in the gate
-# (real UDP collector, 4-worker scheduling): it drifts with machine load
-# across days in a way the CPU-bound benchmarks don't, so it carries its
-# own 0.85 tolerance — a same-machine A/B (git stash) is the arbiter when
+# prior record pass vacuously, as do sub-microsecond ones (cached figure
+# reads at ~1ns measure timer jitter, not work). FleetThroughput is the
+# one wall-clock benchmark in the gate (real UDP collector, 4-worker
+# scheduling): it drifts with machine load across days in a way the
+# CPU-bound benchmarks don't, so it carries its own 0.85 tolerance — a same-machine A/B (git stash) is the arbiter when
 # it trips. Writes the comparison to bench/gate_check.json without
 # touching the committed record.
 bench-gate:
@@ -108,17 +106,24 @@ bench-gate:
 		esac; \
 		$(GO) test -run '^$$' -bench "$$g" -benchtime $$t -count $(BENCH_GATE_COUNT) -benchmem . | tee -a bench/gate_run.txt || exit 1; \
 	done
-	$(GO) run ./cmd/benchjson -baseline bench/baseline_pr2.txt -prev BENCH_pr8.json -gate $(BENCH_GATE) -gate-min-ns 1000 \
+	$(GO) run ./cmd/benchjson -baseline bench/baseline_pr2.txt -prev BENCH_pr14.json -gate $(BENCH_GATE) -gate-min-ns 1000 \
 		-gate-override 'BenchmarkFleetThroughput=0.85' -out bench/gate_check.json < bench/gate_run.txt
 
-# Fuzz smoke over the wire-format decoders fed by untrusted bytes — the pcap
-# packet decoder, the supervisor UDP report decoder, the journal replay
-# reader, the artifact meta decoder, the shard-partial and shard-outcome
-# decoders that parent processes feed with files written by (possibly
-# crashed) shard children, and the result-store segment decoder. `go test
-# -fuzz` accepts one target per invocation, hence one run each.
+# Fuzz smoke over the decoders fed by untrusted bytes — the pcap packet,
+# DNS and capture-file readers, the SDEX container decoder (which reserves
+# from its header's method count) and the smali signature parser, the
+# supervisor UDP report decoder, the journal replay reader, the artifact
+# meta decoder, the shard-partial and shard-outcome decoders that parent
+# processes feed with files written by (possibly crashed) shard children,
+# and the result-store segment decoder. `go test -fuzz` accepts one target
+# per invocation, hence one run each; the pcap and dex patterns are
+# anchored so each names exactly one target.
 fuzz:
-	$(GO) test -run '^$$' -fuzz FuzzDecodeSegment -fuzztime 10s ./internal/pcap
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeSegment$$' -fuzztime 10s ./internal/pcap
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeDNS$$' -fuzztime 10s ./internal/pcap
+	$(GO) test -run '^$$' -fuzz '^FuzzReader$$' -fuzztime 10s ./internal/pcap
+	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 10s ./internal/dex
+	$(GO) test -run '^$$' -fuzz '^FuzzParseTypeSignature$$' -fuzztime 10s ./internal/dex
 	$(GO) test -run '^$$' -fuzz FuzzDecodeReport -fuzztime 10s ./internal/xposed
 	$(GO) test -run '^$$' -fuzz FuzzJournalReplay -fuzztime 10s ./internal/journal
 	$(GO) test -run '^$$' -fuzz FuzzArtifactMeta -fuzztime 10s ./internal/dispatch

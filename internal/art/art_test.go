@@ -437,3 +437,34 @@ func TestRuntimePropagatesNetworkErrors(t *testing.T) {
 		t.Error("network failure should propagate from Launch")
 	}
 }
+
+// A method entry reads its pre-rendered signature from the dex file: once
+// a handler's methods are recorded, dispatching a handler with method
+// entries only (no net ops) allocates nothing.
+func TestDispatchMethodEntriesAllocateNothing(t *testing.T) {
+	prog, _ := buildTestProgram(t, 1)
+	prof, err := NewProfiler(ProfilerUnique, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt, err := NewRuntime(prog, prof, &recordingPerformer{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// First dispatch starts the activity (onCreate and its net op) and
+	// records onClick's method.
+	if err := rt.DispatchEvent(0, 1); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		if err := rt.DispatchEvent(0, 1); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("DispatchEvent on a method-only handler makes %.1f allocs, want 0", allocs)
+	}
+	if got := prof.TotalInvocations(); got < 200 {
+		t.Fatalf("profiler saw %d invocations, want every dispatch recorded", got)
+	}
+}

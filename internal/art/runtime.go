@@ -108,12 +108,14 @@ func (rt *Runtime) runHandler(ai, hi int) error {
 
 	// Record every method the handler invokes. Repeated dispatches
 	// re-record; the profiler mode decides what is kept (§II-B1).
+	// Signatures come pre-rendered from the dex file, so a method entry
+	// builds no strings.
 	for _, idx := range h.MethodIdxs {
-		m, err := rt.program.Dex.MethodAt(idx)
+		sig, err := rt.program.Dex.SignatureAt(idx)
 		if err != nil {
 			return fmt.Errorf("art: handler %s/%s: %w", act.Name, h.Name, err)
 		}
-		rt.profiler.OnMethodEntry(m.TypeSignature())
+		rt.profiler.OnMethodEntry(sig)
 	}
 
 	for oi := range h.NetOps {
@@ -152,7 +154,11 @@ func (rt *Runtime) runNetOp(op *NetOp) error {
 		if err != nil {
 			return err
 		}
-		rt.profiler.OnMethodEntry(m.TypeSignature())
+		sig, err := rt.program.Dex.SignatureAt(idx)
+		if err != nil {
+			return err
+		}
+		rt.profiler.OnMethodEntry(sig)
 		rt.thread.Push(frameForMethod(m))
 		pushed++
 	}

@@ -2,6 +2,7 @@ package dex
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 )
@@ -15,6 +16,10 @@ type File struct {
 	Created time.Time
 
 	methods []Method
+	// sigs holds each method's type signature, rendered once by AddMethod
+	// and parallel to methods: every reader indexes it instead of
+	// re-rendering.
+	sigs []string
 	// bySig indexes methods by full type signature for O(1) lookups.
 	bySig map[string]int
 	// byQualified indexes method indices by dotted qualified name; a
@@ -35,6 +40,22 @@ func NewFile(created time.Time) *File {
 	}
 }
 
+// Grow reserves room for n more method definitions, so a file whose size
+// is known up front fills without reallocating its method list or
+// rehashing its indexes. The indexes are only re-reserved while the file
+// is still empty; n <= 0 is a no-op.
+func (f *File) Grow(n int) {
+	if n <= 0 {
+		return
+	}
+	f.methods = slices.Grow(f.methods, n)
+	f.sigs = slices.Grow(f.sigs, n)
+	if len(f.methods) == 0 {
+		f.bySig = make(map[string]int, n)
+		f.byQualified = make(map[string][]int, n)
+	}
+}
+
 // AddMethod appends a method definition. Duplicate type signatures are
 // rejected: a dex file defines each signature at most once.
 func (f *File) AddMethod(m Method) error {
@@ -44,6 +65,7 @@ func (f *File) AddMethod(m Method) error {
 	}
 	idx := len(f.methods)
 	f.methods = append(f.methods, m)
+	f.sigs = append(f.sigs, sig)
 	f.bySig[sig] = idx
 	qn := m.QualifiedName()
 	f.byQualified[qn] = append(f.byQualified[qn], idx)
@@ -66,6 +88,15 @@ func (f *File) MethodAt(i int) (Method, error) {
 		return Method{}, fmt.Errorf("dex: method index %d out of range [0,%d)", i, len(f.methods))
 	}
 	return f.methods[i], nil
+}
+
+// SignatureAt returns the i-th method's type signature, the string
+// MethodAt(i).TypeSignature() renders, without rendering it again.
+func (f *File) SignatureAt(i int) (string, error) {
+	if i < 0 || i >= len(f.sigs) {
+		return "", fmt.Errorf("dex: method index %d out of range [0,%d)", i, len(f.sigs))
+	}
+	return f.sigs[i], nil
 }
 
 // LookupSignature returns the method with the given full type signature.

@@ -18,10 +18,34 @@ func sampleMethod() Method {
 }
 
 func TestTypeSignatureSmaliConvention(t *testing.T) {
-	m := sampleMethod()
-	want := "Lcom/unity3d/ads/android/cache/b;->doInBackground([Ljava/lang/String;)Ljava/lang/Object;"
-	if got := m.TypeSignature(); got != want {
-		t.Errorf("TypeSignature() = %q, want %q", got, want)
+	cases := []struct {
+		m    Method
+		want string
+	}{
+		{sampleMethod(), "Lcom/unity3d/ads/android/cache/b;->doInBackground([Ljava/lang/String;)Ljava/lang/Object;"},
+		// Inner classes keep their '$'.
+		{Method{Class: "android.os.AsyncTask$2", Name: "call", Return: "Ljava/lang/Object;"},
+			"Landroid/os/AsyncTask$2;->call()Ljava/lang/Object;"},
+		{Method{Class: "com.x.Outer$Inner$1", Name: "run", Return: "V"}, "Lcom/x/Outer$Inner$1;->run()V"},
+		// Default package: no separator to rewrite.
+		{Method{Class: "Main", Name: "main", Params: []string{"[Ljava/lang/String;"}, Return: "V"},
+			"LMain;->main([Ljava/lang/String;)V"},
+		// Array and primitive descriptors, several params.
+		{Method{Class: "x.Y", Name: "f", Params: []string{"I", "J", "[B", "[[Ljava/lang/String;", "Z", "C", "S", "F", "D"}, Return: "[I"},
+			"Lx/Y;->f(IJ[B[[Ljava/lang/String;ZCSFD)[I"},
+		// No params; an empty params slice renders the same as nil.
+		{Method{Class: "a.b.c", Name: "a", Return: "V"}, "La/b/c;->a()V"},
+		{Method{Class: "a.b.c", Name: "a", Params: []string{}, Return: "V"}, "La/b/c;->a()V"},
+		// Degenerate dots still map one for one.
+		{Method{Class: ".a..b.", Name: "<init>", Return: "V"}, "L/a//b/;-><init>()V"},
+	}
+	for _, c := range cases {
+		if got := c.m.TypeSignature(); got != c.want {
+			t.Errorf("TypeSignature(%+v) = %q, want %q", c.m, got, c.want)
+		}
+		if ref := referenceSignature(c.m); ref != c.want {
+			t.Errorf("reference(%+v) = %q, want %q", c.m, ref, c.want)
+		}
 	}
 }
 

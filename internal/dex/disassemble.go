@@ -30,15 +30,12 @@ func Disassemble(container []byte) (*Disassembly, error) {
 
 // DisassembleFile extracts the signature set from an in-memory dex file.
 func DisassembleFile(f *File) *Disassembly {
-	methods := f.Methods()
 	d := &Disassembly{
-		Signatures:   make([]string, 0, len(methods)),
-		SignatureSet: make(map[string]struct{}, len(methods)),
-		MethodCount:  len(methods),
+		Signatures:   append(make([]string, 0, len(f.sigs)), f.sigs...),
+		SignatureSet: make(map[string]struct{}, len(f.sigs)),
+		MethodCount:  len(f.sigs),
 	}
-	for _, m := range methods {
-		sig := m.TypeSignature()
-		d.Signatures = append(d.Signatures, sig)
+	for _, sig := range f.sigs {
 		d.SignatureSet[sig] = struct{}{}
 	}
 	sort.Strings(d.Signatures)
@@ -71,19 +68,18 @@ func NewSignatureTranslator(f *File) *SignatureTranslator {
 // present in the app's dex) are reported via ok=false; the supervisor then
 // falls back to the qualified name itself.
 func (t *SignatureTranslator) Translate(qualified string, arity int) (string, bool) {
-	variants := t.file.LookupQualified(qualified)
-	if len(variants) == 0 {
+	idxs := t.file.byQualified[qualified]
+	if len(idxs) == 0 {
 		return "", false
 	}
-	if arity < 0 {
-		return variants[0].TypeSignature(), true
-	}
-	for _, v := range variants {
-		if len(v.Params) == arity {
-			return v.TypeSignature(), true
+	if arity >= 0 {
+		for _, i := range idxs {
+			if len(t.file.methods[i].Params) == arity {
+				return t.file.sigs[i], true
+			}
 		}
 	}
-	// Arity mismatch: fall back to the first variant, still a signature of
-	// the right qualified name.
-	return variants[0].TypeSignature(), true
+	// Negative arity, or an arity mismatch: the first variant in definition
+	// order, still a signature of the right qualified name.
+	return t.file.sigs[idxs[0]], true
 }

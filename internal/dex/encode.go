@@ -160,6 +160,10 @@ func Decode(data []byte) (*File, error) {
 		return nil, fmt.Errorf("dex: method count %d exceeds container size", methodCount)
 	}
 	f := NewFile(created)
+	// Reserve from the header's count, capped at what the remaining bytes
+	// can encode (each record is at least four uvarints), so a hostile
+	// header cannot make Decode reserve out of proportion to its input.
+	f.Grow(min(int(methodCount), r.Len()/4))
 	lookup := func(idx uint64, what string, i uint32) (string, error) {
 		if idx >= uint64(len(pool)) {
 			return "", fmt.Errorf("dex: method %d %s index %d out of pool range %d", i, what, idx, len(pool))

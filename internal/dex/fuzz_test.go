@@ -5,8 +5,11 @@ import (
 	"time"
 )
 
-// FuzzDecode hardens the SDEX container decoder: no panics, and accepted
-// containers must re-encode and re-decode to the same method count.
+// FuzzDecode hardens the SDEX container decoder: no panics, accepted
+// containers must re-encode and re-decode to the same method count, and
+// every stored signature must equal its method's rendering. Decode
+// reserves from the untrusted header's method count, so the fuzzer also
+// exercises that cap.
 func FuzzDecode(f *testing.F) {
 	file := NewFile(time.Date(2018, 1, 1, 0, 0, 0, 0, time.UTC))
 	if err := file.AddMethod(sampleMethod()); err != nil {
@@ -24,6 +27,7 @@ func FuzzDecode(f *testing.F) {
 		if err != nil {
 			return
 		}
+		checkSignatureAt(t, decoded)
 		re, err := decoded.Encode()
 		if err != nil {
 			t.Fatalf("accepted container does not re-encode: %v", err)

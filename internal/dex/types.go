@@ -76,10 +76,27 @@ func (m Method) Package() string {
 // The type signature is the unique identifier attribution operates on; it
 // distinguishes overloaded variants of a method within one class.
 func (m Method) TypeSignature() string {
+	// Exact length: "L" + class + ";->" + name + "(" + params + ")" + return.
+	n := len(m.Class) + len(m.Name) + len(m.Return) + 6
+	for _, p := range m.Params {
+		n += len(p)
+	}
 	var b strings.Builder
-	b.Grow(len(m.Class) + len(m.Name) + 16)
-	b.WriteString(DescriptorForClass(m.Class))
-	b.WriteString("->")
+	b.Grow(n)
+	b.WriteByte('L')
+	// The class in descriptor form ('.' → '/'), written segment by segment
+	// so rendering allocates nothing but the result.
+	for class := m.Class; ; {
+		i := strings.IndexByte(class, '.')
+		if i < 0 {
+			b.WriteString(class)
+			break
+		}
+		b.WriteString(class[:i])
+		b.WriteByte('/')
+		class = class[i+1:]
+	}
+	b.WriteString(";->")
 	b.WriteString(m.Name)
 	b.WriteByte('(')
 	for _, p := range m.Params {

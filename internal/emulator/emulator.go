@@ -275,7 +275,9 @@ func RunContext(ctx context.Context, install Installation, resolver nets.Resolve
 	var captureBuf *bytes.Buffer
 	captureTarget := opts.Capture
 	if captureTarget == nil {
-		captureBuf = &bytes.Buffer{}
+		// Sized up front from the planned traffic: growing the buffer by
+		// doubling costs copies and garbage on every run.
+		captureBuf = bytes.NewBuffer(make([]byte, 0, captureBudget(install.Program)))
 		captureTarget = captureBuf
 	}
 	clock := nets.NewClock(opts.StartTime)
@@ -444,6 +446,42 @@ func RunContext(ctx context.Context, install Installation, resolver nets.Resolve
 		tel.Counter(obs.MNetsCaptureBytes).Add(int64(len(artifacts.CaptureBytes)))
 	}
 	return artifacts, nil
+}
+
+// Capture-budget slack over a program's planned payload. Per packet the
+// capture adds a 16-byte pcap record header and 40 bytes of IPv4/TCP
+// headers, about 4.5% of full-MSS data segments and their coalesced ACKs
+// (payloadSlackDiv allows 6.25%). Each connection adds its DNS exchange,
+// handshake, teardown, final ACKs and the supervisor's report datagram,
+// measured at 0.9–1.8 KiB (perConnSlack). captureHeaderSlack covers the
+// pcap file header.
+const (
+	payloadSlackDiv    = 16
+	perConnSlack       = 2560
+	captureHeaderSlack = 1024
+	// maxCaptureReserve caps the up-front reservation; a program planning
+	// more traffic than this grows its buffer on demand instead.
+	maxCaptureReserve = 64 << 20
+)
+
+// captureBudget sizes the in-memory capture from the program's planned
+// traffic: each net op's request and response bytes times the runs it may
+// make (max(1, RunLimit)), plus header slack. On generated apps at default
+// options it covers the whole capture, over-reserving by a few percent.
+func captureBudget(p *art.Program) int {
+	var payload, conns int64
+	for ai := range p.Activities {
+		for hi := range p.Activities[ai].Handlers {
+			for oi := range p.Activities[ai].Handlers[hi].NetOps {
+				op := &p.Activities[ai].Handlers[hi].NetOps[oi]
+				runs := int64(max(1, op.RunLimit))
+				payload += runs * (max(0, int64(op.Action.RequestBytes)) + max(0, op.Action.ResponseBytes))
+				conns += runs
+			}
+		}
+	}
+	budget := payload + payload/payloadSlackDiv + conns*perConnSlack + captureHeaderSlack
+	return int(min(budget, maxCaptureReserve))
 }
 
 // newCaptureWriter wraps the target in a pcap writer.

@@ -254,6 +254,7 @@ func (w *World) GenerateApp(idx int) (*App, error) {
 	meanMethods := float64(paperMeanMethods) * w.cfg.MethodScale
 	total := int(sim.ClampInt64(int64(rng.LogNormal(math.Log(meanMethods), methodLogSigma)), 80, 400000))
 	d := dex.NewFile(time.Date(2016+rng.Intn(3), time.Month(1+rng.Intn(12)), 1+rng.Intn(28), 0, 0, 0, 0, time.UTC))
+	d.Grow(total)
 	gen := &codeGen{d: d, rng: rng.Split("code")}
 
 	firstPartyCount := int(float64(total) * 0.35)

@@ -19,13 +19,17 @@ BENCH_GROUPS = 'BenchmarkFig' 'BenchmarkOfflineAnalysisPerApp|BenchmarkAnalysisT
 # and its allocation profile (512 B/op, 6 allocs/op) is exact and stable.
 BENCH_GATE_GROUPS = 'BenchmarkFig' 'BenchmarkOfflineAnalysisPerApp|BenchmarkAnalysisThroughput' 'BenchmarkFleetThroughput' 'BenchmarkStorePointLookup|BenchmarkStoreScan' 'BenchmarkBusPublish'
 
-.PHONY: build test vet race bench bench-gate fuzz chaos verify
+.PHONY: build fmt test vet race bench bench-gate fuzz chaos verify
 
 build:
 	$(GO) build ./...
 
 vet:
 	$(GO) vet ./...
+
+# Formatting drift fails verification: gofmt must list no file.
+fmt:
+	test -z "$$(gofmt -l .)"
 
 test:
 	$(GO) test ./...
@@ -141,6 +145,6 @@ fuzz:
 chaos:
 	./scripts/chaos_smoke.sh
 
-# Tier-1 verification (see ROADMAP.md) plus vet, the race subset, the
-# decoder fuzz smoke, and the process-level chaos smoke.
-verify: build vet test race fuzz chaos
+# Tier-1 verification (see ROADMAP.md) plus gofmt, vet, the race subset,
+# the decoder fuzz smoke, and the process-level chaos smoke.
+verify: build fmt vet test race fuzz chaos

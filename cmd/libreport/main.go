@@ -30,10 +30,8 @@ import (
 
 	"libspector"
 	"libspector/internal/analysis"
-	"libspector/internal/baseline"
-	"libspector/internal/corpus"
+	"libspector/internal/cli"
 	"libspector/internal/dispatch"
-	"libspector/internal/obs"
 	"libspector/internal/report"
 	"libspector/internal/resultstore"
 )
@@ -45,67 +43,72 @@ func main() {
 	}
 }
 
-func run(args []string) error {
+// options is the command's parsed flag set: the shared campaign flags
+// plus the report, store-query, and merge flags only this command has.
+type options struct {
+	*cli.Campaign
+	figure, artifacts, csvDir, mergeShards string
+	inspectWAL                             string
+	queryApp, queryLib, queryDomain        string
+	groupBy                                string
+	topGroups                              int
+}
+
+// newFlags defines the command's flags. -artifacts is local: here it
+// names persisted evidence to reanalyze, not a store for a fresh run.
+func newFlags() (*flag.FlagSet, *options) {
 	fs := flag.NewFlagSet("libreport", flag.ContinueOnError)
-	var (
-		figure     = fs.String("figure", "totals", "table/figure id: T1,F2..F10,E1,E2,E4,totals,json")
-		apps       = fs.Int("apps", 200, "number of apps in the corpus")
-		seed       = fs.Uint64("seed", 42, "experiment seed")
-		workers    = fs.Int("workers", 0, "parallel workers (0 = GOMAXPROCS)")
-		topN       = fs.Int("top", 15, "entries in the Figure 3 rankings")
-		artifacts  = fs.String("artifacts", "", "reanalyze persisted run evidence from this directory instead of running a fleet")
-		csvDir     = fs.String("csv", "", "also write the figure series as CSV files into this directory")
-		shards      = fs.Int("shards", 1, "run the experiment as N in-process shards and report from the merged aggregates")
-		shardIndex  = fs.Int("shard-index", -1, "run only this shard of an N-shard split and write its outcome instead of a report (requires -shards and -shard-out)")
-		shardOut    = fs.String("shard-out", "", "shard outcome file to write in -shard-index mode")
-		mergeShards = fs.String("merge-shards", "", "comma-separated shard outcome files to merge into the report instead of running a fleet")
-		store       = fs.String("store", "", "attribution record store path: written during a run, read by the -query-* flags")
-		eventsOut   = fs.String("events-out", "", "write the run's deterministic event log as JSONL to this file")
-		inspectWAL  = fs.String("wal", "", "inspect a coordinator write-ahead log: print the campaign header and supervision history (attempts, takeovers, seals), no fleet run")
-		queryApp    = fs.String("query-app", "", "query the -store for one app SHA (no fleet run)")
-		queryLib    = fs.String("query-library", "", "query the -store for one origin library (no fleet run)")
-		queryDomain = fs.String("query-domain", "", "query the -store for one domain (no fleet run)")
-		groupBy     = fs.String("group-by", "", "group -store query results: app, library, or domain")
-		topGroups   = fs.Int("top-groups", 10, "grouped query rows to print (0 = all)")
-	)
+	o := &options{Campaign: cli.Register(fs, cli.Defaults{Apps: 200, Workers: 0},
+		"apps", "seed", "workers", "top", "shards", "shard-index", "shard-out", "events-out")}
+	fs.StringVar(&o.figure, "figure", "totals", "table/figure id: T1,F2..F10,E1,E2,E4,totals,json")
+	fs.StringVar(&o.artifacts, "artifacts", "", "reanalyze persisted run evidence from this directory instead of running a fleet")
+	fs.StringVar(&o.csvDir, "csv", "", "also write the figure series as CSV files into this directory")
+	fs.StringVar(&o.mergeShards, "merge-shards", "", "comma-separated shard outcome files to merge into the report instead of running a fleet")
+	fs.StringVar(&o.Config.ResultStore, "store", "", "attribution record store path: written during a run, read by the -query-* flags")
+	fs.StringVar(&o.inspectWAL, "wal", "", "inspect a coordinator write-ahead log: print the campaign header and supervision history (attempts, takeovers, seals), no fleet run")
+	fs.StringVar(&o.queryApp, "query-app", "", "query the -store for one app SHA (no fleet run)")
+	fs.StringVar(&o.queryLib, "query-library", "", "query the -store for one origin library (no fleet run)")
+	fs.StringVar(&o.queryDomain, "query-domain", "", "query the -store for one domain (no fleet run)")
+	fs.StringVar(&o.groupBy, "group-by", "", "group -store query results: app, library, or domain")
+	fs.IntVar(&o.topGroups, "top-groups", 10, "grouped query rows to print (0 = all)")
+	return fs, o
+}
+
+func run(args []string) error {
+	fs, o := newFlags()
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
-	if *inspectWAL != "" {
-		return inspectCoordinatorWAL(*inspectWAL)
+	if o.inspectWAL != "" {
+		return inspectCoordinatorWAL(o.inspectWAL)
 	}
 
-	if *queryApp != "" || *queryLib != "" || *queryDomain != "" || *groupBy != "" {
+	if o.queryApp != "" || o.queryLib != "" || o.queryDomain != "" || o.groupBy != "" {
 		// Query mode answers purely from the on-disk store: no world
 		// generation, no fleet, no in-memory fold.
-		return queryStore(*store, *queryApp, *queryLib, *queryDomain, *groupBy, *topGroups)
+		return queryStore(o.Config.ResultStore, o.queryApp, o.queryLib, o.queryDomain, o.groupBy, o.topGroups)
 	}
 
-	cfg := libspector.DefaultConfig()
-	cfg.Apps = *apps
-	cfg.Seed = *seed
-	cfg.Workers = *workers
-	cfg.ResultStore = *store
-	// -events-out records the deterministic campaign event log; virtual
-	// telemetry keeps same-seed logs byte-identical.
-	var evlog *obs.EventLog
-	if *eventsOut != "" {
-		tel := obs.NewVirtual(nil)
-		tel.SetBus(obs.NewBus(tel.Metrics()))
-		evlog = obs.NewEventLog()
-		evlog.AttachTo(tel.Bus())
-		cfg.Telemetry = tel
+	cfg, err := o.Resolve()
+	if err != nil {
+		return err
 	}
-	writeEvents := func() error {
-		if evlog == nil {
-			return nil
+	// Telemetry exists only to record -events-out: the rest of a report
+	// run has no use for it.
+	var ob *cli.Observer
+	if o.EventsOut != "" {
+		if ob, err = o.Observe(); err != nil {
+			return err
 		}
-		if err := evlog.WriteFile(*eventsOut); err != nil {
-			return fmt.Errorf("writing event log: %w", err)
+		cfg.Telemetry = ob.Tel
+	}
+	ctx := context.Background()
+	if o.ShardIndex >= 0 {
+		if err := o.RunShardChild(ctx, cfg); err != nil {
+			return err
 		}
-		fmt.Printf("Wrote %d events to %s.\n", evlog.Len(), *eventsOut)
-		return nil
+		return ob.WriteEvents()
 	}
 	exp, err := libspector.NewExperiment(cfg)
 	if err != nil {
@@ -115,34 +118,24 @@ func run(args []string) error {
 	// only ever materializes the mergeable aggregates.
 	var ds *analysis.Dataset
 	switch {
-	case *shardIndex >= 0:
-		if *shardOut == "" {
-			return fmt.Errorf("-shard-index requires -shard-out")
-		}
-		out, err := exp.RunShard(context.Background(), *shardIndex, *shards)
+	case o.mergeShards != "":
+		outs, err := readOutcomes(o.mergeShards)
 		if err != nil {
 			return err
 		}
-		if err := dispatch.WriteShardOutcome(*shardOut, out); err != nil {
-			return err
-		}
-		fmt.Printf("Shard %d/%d done: apps [%d,%d) -> %s\n",
-			*shardIndex, *shards, out.Range.Lo, out.Range.Hi, *shardOut)
-		return writeEvents()
-	case *mergeShards != "":
-		outs, err := readOutcomes(*mergeShards)
+		merged, err := dispatch.MergeOutcomes(outs)
 		if err != nil {
 			return err
 		}
-		if _, err := exp.MergeShardOutcomes(outs); err != nil {
+		if _, err := exp.FinishCampaign(merged, len(outs)); err != nil {
 			return err
 		}
-	case *shards > 1:
-		if _, err := exp.RunSharded(context.Background(), *shards); err != nil {
+	case o.Shards > 1:
+		if _, err := exp.RunSharded(ctx, o.Shards); err != nil {
 			return err
 		}
-	case *artifacts != "":
-		if ds, err = reanalyze(exp, *artifacts); err != nil {
+	case o.artifacts != "":
+		if ds, err = reanalyze(exp, o.artifacts); err != nil {
 			return err
 		}
 	default:
@@ -151,7 +144,7 @@ func run(args []string) error {
 		}
 		ds = exp.Dataset()
 	}
-	if err := writeEvents(); err != nil {
+	if err := ob.WriteEvents(); err != nil {
 		return err
 	}
 	ag := exp.Aggregates()
@@ -159,60 +152,23 @@ func run(args []string) error {
 		ag = ds.Aggregates()
 	}
 
-	if *csvDir != "" {
+	if o.csvDir != "" {
 		if ds == nil {
 			return fmt.Errorf("-csv needs the record-level dataset, which a sharded run does not materialize")
 		}
-		if err := writeCSVs(ds, *csvDir); err != nil {
+		if err := writeCSVs(ds, o.csvDir); err != nil {
 			return err
 		}
 	}
 
-	switch strings.ToUpper(*figure) {
-	case "TOTALS":
-		fmt.Println(report.Totals(ag.ComputeTotals()))
-	case "T1":
-		for _, d := range exp.World().Domains {
-			exp.Domains().Categorize(d.Name)
-		}
-		fmt.Println(report.TableI(exp.Domains().Counts()))
-	case "F2":
-		fmt.Println(report.Fig2(ag.Fig2CategoryTransfer()))
-	case "F3":
-		fmt.Println(report.Fig3(ag.Fig3TopOrigins(*topN), ag.Fig3TopTwoLevel(*topN)))
-	case "F4":
-		fmt.Println(report.Fig4(ag.Fig4CDF()))
-	case "F5":
-		fmt.Println(report.Fig5(ag.Fig5FlowRatios()))
-	case "F6":
-		fmt.Println(report.Fig6(ag.Fig6AnTShares()))
-	case "F7":
-		fmt.Println(report.Fig7(ag.Fig7Averages()))
-	case "F8":
-		fmt.Println(report.Fig8(ag.Fig8AppCategoryAverages()))
-	case "F9":
-		fmt.Println(report.Fig9(ag.Fig9Heatmap()))
-	case "F10":
-		fmt.Println(report.Fig10(ag.Fig10Coverage()))
-	case "E1":
-		costs := analysis.CostPerCategory(ag.Fig7Averages(), analysis.NewCostModel(),
-			corpus.LibAdvertisement, corpus.LibMobileAnalytics,
-			corpus.LibSocialNetwork, corpus.LibDigitalIdentity, corpus.LibGameEngine)
-		fmt.Println(report.Costs(costs))
-	case "E2":
-		fmt.Println(report.Energy(analysis.NewEnergyModel(), ag.Fig7Averages().PerLibrary[corpus.LibAdvertisement]))
-	case "E4":
-		if ds == nil {
-			return fmt.Errorf("E4 compares record-level baselines, which a sharded run does not materialize")
-		}
-		fmt.Println(report.Baselines(baseline.CompareUA(ds), baseline.CompareHostname(ds), baseline.CompareContentType(ds)))
-	case "JSON":
-		if err := ag.Summarize(*topN).WriteJSON(os.Stdout); err != nil {
-			return err
-		}
-	default:
-		return fmt.Errorf("unknown figure id %q", *figure)
+	if strings.EqualFold(o.figure, "json") {
+		return ag.Summarize(o.Top).WriteJSON(os.Stdout)
 	}
+	fig, err := cli.Figure(exp, ag, ds, o.figure, o.Top)
+	if err != nil {
+		return err
+	}
+	fmt.Println(fig)
 	return nil
 }
 

@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"flag"
 	"os"
 	"path/filepath"
 	"testing"
@@ -99,5 +100,56 @@ func TestJournalResumeAuditCLI(t *testing.T) {
 	}
 	if err := run(ctx, audit); err != nil {
 		t.Errorf("audit after repairing resume: %v", err)
+	}
+}
+
+// TestFlagSurface pins the command's flag names and defaults, so moving
+// flags between the command and the shared campaign surface cannot drop,
+// rename, or re-default one.
+func TestFlagSurface(t *testing.T) {
+	want := map[string]string{
+		"apps":              "300",
+		"artifacts":         "",
+		"collector":         "false",
+		"continue-on-error": "false",
+		"coordinator-wal":   "",
+		"domain-scale":      "0.05",
+		"events":            "1000",
+		"events-out":        "",
+		"fault-classes":     "",
+		"fault-poison":      "0",
+		"fault-rate":        "0",
+		"journal":           "",
+		"max-attempts":      "1",
+		"method-scale":      "0.03",
+		"metrics-addr":      "",
+		"resume":            "false",
+		"retry-backoff":     "0s",
+		"run-timeout":       "0s",
+		"seed":              "42",
+		"shard-index":       "-1",
+		"shard-out":         "",
+		"shards":            "1",
+		"store":             "false",
+		"throttle":          "500",
+		"top":               "15",
+		"trace-out":         "",
+		"volume-scale":      "1",
+		"workers":           "0",
+	}
+	fs, _ := newFlags()
+	got := map[string]string{}
+	fs.VisitAll(func(f *flag.Flag) { got[f.Name] = f.DefValue })
+	for name, def := range want {
+		if g, ok := got[name]; !ok {
+			t.Errorf("flag -%s missing", name)
+		} else if g != def {
+			t.Errorf("flag -%s default %q, want %q", name, g, def)
+		}
+	}
+	for name := range got {
+		if _, ok := want[name]; !ok {
+			t.Errorf("unexpected flag -%s", name)
+		}
 	}
 }

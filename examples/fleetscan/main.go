@@ -38,6 +38,7 @@ import (
 	"time"
 
 	"libspector"
+	"libspector/internal/cli"
 	"libspector/internal/corpus"
 	"libspector/internal/dispatch"
 	"libspector/internal/faults"
@@ -47,7 +48,7 @@ import (
 func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	if err := run(ctx); err != nil {
+	if err := run(ctx, os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "fleetscan:", err)
 		os.Exit(1)
 	}
@@ -55,7 +56,7 @@ func main() {
 
 // progress is a dispatch.Sink printing a live line per stream event.
 type progress struct {
-	done, skipped, failed, quarantined int
+	done int
 }
 
 func (p *progress) Consume(ev dispatch.RunEvent) error {
@@ -65,13 +66,10 @@ func (p *progress) Consume(ev dispatch.RunEvent) error {
 		fmt.Printf("  [%3d done] app %d: %s (%d flows)\n",
 			p.done, ev.AppIndex, ev.Run.AppPackage, len(ev.Run.Flows))
 	case dispatch.EventSkip:
-		p.skipped++
 		fmt.Printf("  [   skip ] app %d: ARM-only (§III-A ABI filter)\n", ev.AppIndex)
 	case dispatch.EventFailure:
-		p.failed++
 		fmt.Printf("  [   fail ] app %d: %v\n", ev.AppIndex, ev.Err)
 	case dispatch.EventQuarantine:
-		p.quarantined++
 		fmt.Printf("  [quarant.] app %d after %d attempts: %v\n",
 			ev.AppIndex, ev.Quarantine.Attempts, ev.Err)
 	}
@@ -83,9 +81,9 @@ func (p *progress) Consume(ev dispatch.RunEvent) error {
 // parent. Orchestration and supervision flags are owned by the parent
 // and re-issued per child; -resume is appended only on takeover (or a
 // whole-campaign resume), so it is excluded here too.
-func inheritedArgs() []string {
+func inheritedArgs(fs *flag.FlagSet) []string {
 	var args []string
-	flag.Visit(func(f *flag.Flag) {
+	fs.Visit(func(f *flag.Flag) {
 		switch f.Name {
 		case "shards", "shard-index", "shard-out", "probe-base-port", "metrics-addr",
 			"resume", "events-out", "coordinator-wal", "stall-deadline", "probe-strikes",
@@ -97,36 +95,24 @@ func inheritedArgs() []string {
 	return args
 }
 
-// processOpts carries the parent's supervision and chaos configuration.
-type processOpts struct {
-	journalPath   string
-	walPath       string
-	probeBase     int
-	probeStrikes  int
-	stallDeadline time.Duration
-	eventsOut     string
-	chaosSeed     uint64
-	chaosKill     int
-}
-
 // spawnShard runs one shard incarnation as a child process and waits
 // for it. Children live in their own process group with SIGKILL parent
 // death signaling, so a dying parent — panicking, SIGKILLed by chaos —
 // never leaves orphan shard processes (or their ops-port listeners)
 // behind, and a cancelled shard context kills the whole group.
-func spawnShard(ctx context.Context, self string, task dispatch.ShardTask, n int, outPath string, opts processOpts, campaignResume bool, plan *faults.ProcPlan) error {
-	args := inheritedArgs()
-	args = append(args, fmt.Sprintf("-shards=%d", n), fmt.Sprintf("-shard-index=%d", task.Index), "-shard-out="+outPath)
-	if campaignResume || task.Attempt > 0 {
+func spawnShard(ctx context.Context, self string, task dispatch.ShardTask, outPath string, o *options, inherited []string, plan *faults.ProcPlan) error {
+	args := append([]string(nil), inherited...)
+	args = append(args, fmt.Sprintf("-shards=%d", o.Shards), fmt.Sprintf("-shard-index=%d", task.Index), "-shard-out="+outPath)
+	if o.Config.Resume || task.Attempt > 0 {
 		args = append(args, "-resume")
 	}
-	if opts.eventsOut != "" {
+	if o.EventsOut != "" {
 		// Each child records its own shard's log; the parent owns the flag
 		// and re-issues it suffixed so children never clobber one file.
-		args = append(args, fmt.Sprintf("-events-out=%s.shard-%03d", opts.eventsOut, task.Index))
+		args = append(args, fmt.Sprintf("-events-out=%s.shard-%03d", o.EventsOut, task.Index))
 	}
-	if opts.probeBase > 0 {
-		args = append(args, fmt.Sprintf("-metrics-addr=127.0.0.1:%d", opts.probeBase+task.Index))
+	if o.probeBase > 0 {
+		args = append(args, fmt.Sprintf("-metrics-addr=127.0.0.1:%d", o.probeBase+task.Index))
 	}
 	if after, ok := plan.ShardKillAfter(task.Index, task.Attempt); ok {
 		fmt.Printf("  [chaos] shard %d will SIGKILL itself after %d runs\n", task.Index, after)
@@ -157,24 +143,25 @@ func spawnShard(ctx context.Context, self string, task dispatch.ShardTask, n int
 // parent itself: re-run after a parent kill with -resume and sealed
 // shard outcomes are verified and reused, in-flight shards resume from
 // their journals, and the takeover budget picks up where it stopped.
-func runShardProcesses(ctx context.Context, cfg libspector.Config, n int, opts processOpts) error {
+func runShardProcesses(ctx context.Context, cfg libspector.Config, o *options, inherited []string) (*dispatch.CampaignOutcome, error) {
 	self, err := os.Executable()
 	if err != nil {
-		return err
+		return nil, err
 	}
 	dir, err := os.MkdirTemp("", "fleetscan-shards-*")
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer func() { _ = os.RemoveAll(dir) }()
 
+	n := o.Shards
 	// The seeded chaos schedule applies only to a fresh campaign: the
 	// resumed incarnation runs clean, which is what lets the chaos smoke
 	// assert convergence to the uninterrupted run instead of dying
 	// forever.
 	var plan *faults.ProcPlan
-	if opts.chaosKill > 0 && !cfg.Resume {
-		plan = faults.NewProcPlan(opts.chaosSeed, n, opts.chaosKill)
+	if o.chaosKill > 0 && !cfg.Resume {
+		plan = faults.NewProcPlan(o.chaosSeed, n, o.chaosKill)
 	}
 
 	fmt.Printf("Scanning %d apps as %d shard processes...\n", cfg.Apps, n)
@@ -187,7 +174,7 @@ func runShardProcesses(ctx context.Context, cfg libspector.Config, n int, opts p
 			if task.Attempt > 0 {
 				fmt.Printf("  [takeover] shard %d re-spawning with -resume (attempt %d)\n", task.Index, task.Attempt)
 			}
-			if err := spawnShard(cctx, self, task, n, outPath, opts, cfg.Resume, plan); err != nil {
+			if err := spawnShard(cctx, self, task, outPath, o, inherited, plan); err != nil {
 				return nil, err
 			}
 			return dispatch.ReadShardOutcome(outPath)
@@ -197,24 +184,27 @@ func runShardProcesses(ctx context.Context, cfg libspector.Config, n int, opts p
 		// fleet's liveness grid even though the runs happen in children.
 		Tel: cfg.Telemetry,
 	}
-	if opts.journalPath != "" {
+	if cfg.Journal != "" {
 		// Journal replay makes takeover cheap; without a journal a
 		// re-spawned shard would redo (and double-count) every run, so
 		// the budget stays zero and a shard death fails the campaign.
 		coord.MaxTakeovers = cfg.Apps
 	}
-	if opts.probeBase > 0 {
-		addr := func(i int) string { return fmt.Sprintf("127.0.0.1:%d", opts.probeBase+i) }
+	if o.probeBase > 0 {
+		addr := func(i int) string { return fmt.Sprintf("127.0.0.1:%d", o.probeBase+i) }
 		coord.Probe = func(i int) error { return obs.ProbeHealthz(addr(i), time.Second) }
 		coord.ProbeInterval = 500 * time.Millisecond
-		coord.ProbeStrikes = opts.probeStrikes
-		if opts.stallDeadline > 0 {
+		coord.ProbeStrikes = o.probeStrikes
+		if o.stallDeadline > 0 {
 			coord.Progress = func(i int) (int64, error) { return obs.FetchProgress(addr(i), time.Second) }
-			coord.StallDeadline = opts.stallDeadline
+			coord.StallDeadline = o.stallDeadline
 		}
 	}
-	if opts.walPath != "" {
-		coord.WAL = opts.walPath
+	coord.WAL = cfg.CoordinatorWAL
+	if coord.WAL == "" && cfg.Journal != "" {
+		coord.WAL = cfg.Journal + ".coordinator"
+	}
+	if coord.WAL != "" {
 		coord.Resume = cfg.Resume
 		coord.Fingerprint = cfg.Fingerprint()
 		if plan != nil {
@@ -228,34 +218,7 @@ func runShardProcesses(ctx context.Context, cfg libspector.Config, n int, opts p
 		}
 	}
 
-	out, err := coord.Execute(ctx)
-	if err != nil {
-		return err
-	}
-	exp, err := libspector.NewExperiment(cfg)
-	if err != nil {
-		return err
-	}
-	res, err := exp.FinishCampaign(out, n)
-	if err != nil {
-		return err
-	}
-	acct := res.Accounting
-	fmt.Printf("Merged %d shard outcomes: %d runs, %d skipped, %d failed, %d quarantined (%d process takeovers).\n",
-		n, acct.Completed, acct.SkippedARMOnly, acct.Failed, acct.Quarantined, res.Takeovers)
-	fmt.Println()
-	fmt.Println(obs.Render(res.Snapshot))
-	ag := exp.Aggregates()
-	totals := ag.ComputeTotals()
-	fmt.Printf("  traffic:             %.2f MB over %d flows to %d domains\n",
-		float64(totals.TotalBytes())/1e6, totals.Flows, totals.DistinctDomains)
-	fmt.Printf("  origin-libraries:    %d\n", totals.DistinctOrigins)
-	cov := ag.Fig10Coverage()
-	fmt.Printf("  mean method coverage: %.1f%% (paper: 9.5%%)\n", cov.Mean)
-	m := ag.Fig2CategoryTransfer()
-	fmt.Printf("  advertisement share:  %.1f%% of bytes (paper: 28.3%%)\n",
-		100*m.LegendShare[corpus.LibAdvertisement])
-	return nil
+	return coord.Execute(ctx)
 }
 
 // mergeShardEvents assembles the campaign's single deterministic event
@@ -291,61 +254,54 @@ func mergeShardEvents(eventsOut string, n int, evlog *obs.EventLog) error {
 	if err := f.Close(); err != nil {
 		return fmt.Errorf("writing event log: %w", err)
 	}
-	fmt.Printf("  wrote %d events to %s\n", total+evlog.Len(), eventsOut)
+	fmt.Printf("Wrote %d events to %s.\n", total+evlog.Len(), eventsOut)
 	return nil
 }
 
-func run(ctx context.Context) error {
-	apps := flag.Int("apps", 40, "corpus size")
-	workers := flag.Int("workers", 4, "parallel workers")
-	seed := flag.Uint64("seed", 42, "experiment seed")
-	faultRate := flag.Float64("fault-rate", 0, "fraction of apps hit by an injected fault on the first attempt [0,1]")
-	faultPoison := flag.Float64("fault-poison", 0, "fraction of faulted apps whose fault repeats on every attempt [0,1]")
-	maxAttempts := flag.Int("max-attempts", 1, "run attempts per app before quarantine")
-	artifactDir := flag.String("artifacts", "", "persist per-run raw evidence into this directory")
-	journalPath := flag.String("journal", "", "append a checksummed write-ahead log of campaign progress to this file")
-	resume := flag.Bool("resume", false, "replay the -journal log and continue instead of restarting (requires the same -artifacts store)")
-	runTimeout := flag.Duration("run-timeout", 0, "per-run attempt deadline (0 = none)")
-	retryBackoff := flag.Duration("retry-backoff", 0, "base backoff between attempts, doubled per retry")
-	metricsAddr := flag.String("metrics-addr", "", "serve the live ops endpoint (dashboard at /, SSE at /events, JSON snapshot at /debug/vars, pprof) on this address while the fleet runs")
-	eventsOut := flag.String("events-out", "", "write the deterministic event log as JSONL to this file (shard-process mode writes one .shard-NNN file per child)")
-	traceOut := flag.String("trace-out", "", "write per-run span traces as JSONL to this file after the fleet")
-	shards := flag.Int("shards", 1, "run the campaign as N separate shard processes and merge their outcomes")
-	shardIndex := flag.Int("shard-index", -1, "child mode: run only this shard and write its outcome (spawned by -shards)")
-	shardOut := flag.String("shard-out", "", "child mode: shard outcome file to write")
-	probeBase := flag.Int("probe-base-port", 0, "liveness: child shard i serves /healthz on 127.0.0.1:(port+i) and the parent kills shards that stop answering (0 = off)")
-	probeStrikes := flag.Int("probe-strikes", 3, "consecutive failed /healthz probes before a shard is declared dead (transient timeouts don't burn takeover budget)")
-	stallDeadline := flag.Duration("stall-deadline", 0, "declare a live shard dead when its apps-completed watermark (/debug/vars) stops advancing for this long (0 = off; needs -probe-base-port)")
-	coordWAL := flag.String("coordinator-wal", "", "coordinator write-ahead log for crash-safe -shards supervision; a killed parent re-run with -resume picks the campaign up (defaults to <journal>.coordinator when -journal is set)")
-	chaosSeed := flag.Uint64("chaos-seed", 0, "seed for the deterministic process-level chaos schedule")
-	chaosKill := flag.Int("chaos-kill", 0, "chaos: SIGKILL this many shard children mid-run, plus the coordinator itself mid-campaign when a WAL is active; re-run with -resume to converge")
-	chaosKillAfter := flag.Int("chaos-kill-after", 0, "child mode: SIGKILL this shard process after N terminal run outcomes (issued by the parent's chaos schedule)")
-	flag.Parse()
+// options is the command's parsed flag set: the shared campaign flags
+// plus the process supervision and chaos flags only fleetscan has.
+type options struct {
+	*cli.Campaign
+	probeBase, probeStrikes int
+	stallDeadline           time.Duration
+	chaosSeed               uint64
+	chaosKill               int
+}
 
-	cfg := libspector.DefaultConfig()
-	cfg.Apps = *apps
-	cfg.Workers = *workers
-	cfg.Seed = *seed
-	cfg.UseCollector = true // real UDP collection server
-	cfg.UseStore = true     // database-server round trip per apk
-	cfg.ArtifactDir = *artifactDir
-	cfg.Journal = *journalPath
-	cfg.Resume = *resume
-	cfg.ChaosKillAfterRuns = *chaosKillAfter
-	if *resume && *journalPath == "" {
-		return fmt.Errorf("-resume requires -journal")
+// newFlags defines the command's flags.
+func newFlags() (*flag.FlagSet, *options) {
+	fs := flag.NewFlagSet("fleetscan", flag.ContinueOnError)
+	o := &options{Campaign: cli.Register(fs, cli.Defaults{Apps: 40, Workers: 4},
+		"apps", "workers", "seed", "fault-rate", "fault-poison", "max-attempts",
+		"artifacts", "journal", "resume", "run-timeout", "retry-backoff",
+		"metrics-addr", "events-out", "trace-out", "shards", "shard-index",
+		"shard-out", "coordinator-wal")}
+	fs.IntVar(&o.probeBase, "probe-base-port", 0, "liveness: child shard i serves /healthz on 127.0.0.1:(port+i) and the parent kills shards that stop answering (0 = off)")
+	fs.IntVar(&o.probeStrikes, "probe-strikes", 3, "consecutive failed /healthz probes before a shard is declared dead (transient timeouts don't burn takeover budget)")
+	fs.DurationVar(&o.stallDeadline, "stall-deadline", 0, "declare a live shard dead when its apps-completed watermark (/debug/vars) stops advancing for this long (0 = off; needs -probe-base-port)")
+	fs.Uint64Var(&o.chaosSeed, "chaos-seed", 0, "seed for the deterministic process-level chaos schedule")
+	fs.IntVar(&o.chaosKill, "chaos-kill", 0, "chaos: SIGKILL this many shard children mid-run, plus the coordinator itself mid-campaign when a WAL is active; re-run with -resume to converge")
+	fs.IntVar(&o.Config.ChaosKillAfterRuns, "chaos-kill-after", 0, "child mode: SIGKILL this shard process after N terminal run outcomes (issued by the parent's chaos schedule)")
+	return fs, o
+}
+
+func run(ctx context.Context, args []string) error {
+	fs, o := newFlags()
+	if err := fs.Parse(args); err != nil {
+		return err
 	}
-	if *chaosKill > 0 && *journalPath == "" {
+	cfg, err := o.Resolve()
+	if err != nil {
+		return err
+	}
+	if o.chaosKill > 0 && cfg.Journal == "" {
 		// Killed shards can only be taken over from their journals;
 		// chaos without one would just fail the campaign.
 		return fmt.Errorf("-chaos-kill requires -journal")
 	}
-	cfg.FaultRate = *faultRate
-	cfg.FaultPoisonRate = *faultPoison
-	cfg.MaxAttempts = *maxAttempts
-	cfg.RunTimeout = *runTimeout
-	cfg.RetryBackoff = *retryBackoff
-	if *faultRate > 0 {
+	cfg.UseCollector = true // real UDP collection server
+	cfg.UseStore = true     // database-server round trip per apk
+	if cfg.FaultRate > 0 {
 		// A faulted fleet must keep going and retry; otherwise the first
 		// injected fault would abort the whole scan.
 		cfg.ContinueOnError = true
@@ -359,143 +315,92 @@ func run(ctx context.Context) error {
 		}
 	}
 
-	// Deterministic virtual telemetry by default; the live ops endpoint
-	// switches to wall-clock telemetry, adding the wall-only series to the
-	// snapshot (see DESIGN.md §6).
-	tel := obs.NewVirtual(nil)
-	if *metricsAddr != "" {
-		tel = obs.New()
+	ob, err := o.Observe()
+	if err != nil {
+		return err
 	}
-	// The event bus is built only when something consumes it: the SSE ops
-	// endpoint, or the -events-out deterministic log.
-	var evlog *obs.EventLog
-	if *metricsAddr != "" || *eventsOut != "" {
-		tel.SetBus(obs.NewBus(tel.Metrics()))
-		if *eventsOut != "" {
-			evlog = obs.NewEventLog()
-			evlog.AttachTo(tel.Bus())
-		}
-	}
-	if *metricsAddr != "" {
-		ops, err := obs.ServeOps(*metricsAddr, tel.Metrics(), tel.Bus())
-		if err != nil {
-			return fmt.Errorf("starting ops endpoint: %w", err)
-		}
-		defer ops.Close()
-		fmt.Printf("Live dashboard on http://%s/ (SSE at /events, snapshot at /debug/vars, pprof at /debug/pprof).\n", ops.Addr())
-	}
-	cfg.Telemetry = tel
-	writeEvents := func() error {
-		if evlog == nil {
-			return nil
-		}
-		if err := evlog.WriteFile(*eventsOut); err != nil {
-			return fmt.Errorf("writing event log: %w", err)
-		}
-		fmt.Printf("  wrote %d events to %s\n", evlog.Len(), *eventsOut)
-		return nil
-	}
-
-	if *shardIndex >= 0 {
-		if *shardOut == "" {
-			return fmt.Errorf("-shard-index requires -shard-out")
-		}
-		exp, err := libspector.NewExperiment(cfg)
-		if err != nil {
+	defer ob.Close()
+	cfg.Telemetry = ob.Tel
+	if o.ShardIndex >= 0 {
+		if err := o.RunShardChild(ctx, cfg); err != nil {
 			return err
 		}
-		out, err := exp.RunShard(ctx, *shardIndex, *shards)
-		if err != nil {
-			return err
-		}
-		if err := dispatch.WriteShardOutcome(*shardOut, out); err != nil {
-			return err
-		}
-		fmt.Printf("  [shard %d] apps [%d,%d) done -> %s\n", *shardIndex, out.Range.Lo, out.Range.Hi, *shardOut)
-		return writeEvents()
+		return ob.WriteEvents()
 	}
-	if *shards > 1 {
-		walPath := *coordWAL
-		if walPath == "" && *journalPath != "" {
-			walPath = *journalPath + ".coordinator"
-		}
-		opts := processOpts{
-			journalPath:   *journalPath,
-			walPath:       walPath,
-			probeBase:     *probeBase,
-			probeStrikes:  *probeStrikes,
-			stallDeadline: *stallDeadline,
-			eventsOut:     *eventsOut,
-			chaosSeed:     *chaosSeed,
-			chaosKill:     *chaosKill,
-		}
-		if err := runShardProcesses(ctx, cfg, *shards, opts); err != nil {
+	sharded := o.Shards > 1
+	var merged *dispatch.CampaignOutcome
+	if sharded {
+		if merged, err = runShardProcesses(ctx, cfg, o, inheritedArgs(fs)); err != nil {
 			return err
 		}
-		if evlog != nil {
-			// Process mode owns its event-log assembly: child shard logs
-			// concatenated in shard order, then the parent's campaign.done.
-			return mergeShardEvents(*eventsOut, *shards, evlog)
-		}
-		return nil
 	}
-
 	exp, err := libspector.NewExperiment(cfg)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("Scanning %d apps with %d workers (UDP collector + apk store enabled)...\n", *apps, *workers)
-	if err := exp.RunContext(ctx, &progress{}); err != nil {
-		if ctx.Err() == nil || exp.Result() == nil {
+	// Fleet counts, collector datagram totals, and attribution joins all
+	// come from the telemetry snapshot (merged across shard processes);
+	// only derived analysis figures keep bespoke lines below.
+	if sharded {
+		res, err := exp.FinishCampaign(merged, o.Shards)
+		if err != nil {
 			return err
 		}
-		fmt.Println("Interrupted — reporting the completed prefix of the fleet.")
+		acct := res.Accounting
+		fmt.Printf("Merged %d shard outcomes: %d runs, %d skipped, %d failed, %d quarantined (%d process takeovers).\n",
+			o.Shards, acct.Completed, acct.SkippedARMOnly, acct.Failed, acct.Quarantined, res.Takeovers)
+		fmt.Println()
+		fmt.Println(obs.Render(res.Snapshot))
+		cli.PrintLedger(acct, res.Failures, res.Quarantined)
+	} else {
+		fmt.Printf("Scanning %d apps with %d workers (UDP collector + apk store enabled)...\n", cfg.Apps, cfg.Workers)
+		if err := exp.RunContext(ctx, &progress{}); err != nil {
+			if ctx.Err() == nil || exp.Result() == nil {
+				return err
+			}
+			fmt.Println("Interrupted — reporting the completed prefix of the fleet.")
+		}
+		res := exp.Result()
+		fmt.Printf("Fleet finished in %s.\n", res.Elapsed.Round(1e6))
+		fmt.Println()
+		fmt.Println(obs.Render(ob.Tel.Metrics().Snapshot()))
+		cli.PrintLedger(res.Accounting, res.Failures, res.Quarantined)
 	}
 
-	res := exp.Result()
-	fmt.Printf("Fleet finished in %s.\n", res.Elapsed.Round(1e6))
-	// Fleet counts, collector datagram totals, and attribution joins all
-	// come from the telemetry snapshot now; only derived analysis figures
-	// keep bespoke lines below.
-	fmt.Println()
-	fmt.Println(obs.Render(tel.Metrics().Snapshot()))
-	acct := res.Accounting
-	if acct.Quarantined > 0 || acct.Failed > 0 || acct.NotRun > 0 || acct.Retried > 0 {
-		fmt.Printf("  degradation: %d failed, %d quarantined, %d never run; %d recovered by retry (%d attempts, %s backoff)\n",
-			acct.Failed, acct.Quarantined, acct.NotRun, acct.Retried, acct.Attempts, acct.Backoff)
-		fmt.Printf("  coverage:    %.1f%% of the analyzable corpus\n", 100*acct.Coverage())
-	}
-
-	// Aggregates come from the streaming accumulator — no per-flow records
-	// were retained to produce them.
+	// Aggregates come from the streaming fold — no per-flow records were
+	// retained to produce them.
 	ag := exp.Aggregates()
 	totals := ag.ComputeTotals()
 	fmt.Printf("  traffic:             %.2f MB over %d flows to %d domains\n",
 		float64(totals.TotalBytes())/1e6, totals.Flows, totals.DistinctDomains)
 	fmt.Printf("  origin-libraries:    %d\n", totals.DistinctOrigins)
-
-	cov := ag.Fig10Coverage()
-	fmt.Printf("  mean method coverage: %.1f%% (paper: 9.5%%)\n", cov.Mean)
-
-	m := ag.Fig2CategoryTransfer()
+	fmt.Printf("  mean method coverage: %.1f%% (paper: 9.5%%)\n", ag.Fig10Coverage().Mean)
 	fmt.Printf("  advertisement share:  %.1f%% of bytes (paper: 28.3%%)\n",
-		100*m.LegendShare[corpus.LibAdvertisement])
+		100*ag.Fig2CategoryTransfer().LegendShare[corpus.LibAdvertisement])
+	if sharded {
+		if ob.Events != nil {
+			// Process mode owns its event-log assembly: child shard logs
+			// concatenated in shard order, then the parent's campaign.done.
+			return mergeShardEvents(o.EventsOut, o.Shards, ob.Events)
+		}
+		return nil
+	}
 
 	// Per-run join health: in a correct pipeline every flow matches a
 	// supervisor report and checksums all verify.
 	var unmatchedFlows, unmatchedReports, mismatches int
-	for _, run := range res.Runs {
+	for _, run := range exp.Result().Runs {
 		unmatchedFlows += run.Join.UnmatchedFlows
 		unmatchedReports += run.Join.UnmatchedReports
 		mismatches += run.Join.ChecksumMismatch
 	}
 	fmt.Printf("  join health: %d unmatched flows, %d unmatched reports, %d checksum mismatches\n",
 		unmatchedFlows, unmatchedReports, mismatches)
-	if *traceOut != "" {
-		if err := tel.Tracer().WriteFile(*traceOut); err != nil {
+	if o.TraceOut != "" {
+		if err := ob.Tel.Tracer().WriteFile(o.TraceOut); err != nil {
 			return fmt.Errorf("writing traces: %w", err)
 		}
-		fmt.Printf("  wrote %d spans to %s\n", tel.Tracer().SpanCount(), *traceOut)
+		fmt.Printf("  wrote %d spans to %s\n", ob.Tel.Tracer().SpanCount(), o.TraceOut)
 	}
-	return writeEvents()
+	return ob.WriteEvents()
 }

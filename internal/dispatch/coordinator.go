@@ -392,9 +392,30 @@ func consumeTakeover(used *atomic.Int64, max int) bool {
 	}
 }
 
-// mergeOutcomes folds the per-shard outcomes into the campaign result.
+// mergeOutcomes is the coordinator's merge: MergeOutcomes plus the
+// takeover count and one merge-progress event per shard.
 func (c *Coordinator) mergeOutcomes(outcomes []*ShardOutcome, takeovers int) (*CampaignOutcome, error) {
-	out := &CampaignOutcome{Takeovers: takeovers}
+	out, err := MergeOutcomes(outcomes)
+	if err != nil {
+		return nil, err
+	}
+	for i, o := range outcomes {
+		c.publish(obs.Event{Type: obs.EvMergeProgress, App: -1, Shard: o.Index, Done: i + 1, Total: len(outcomes)})
+	}
+	out.Takeovers = takeovers
+	return out, nil
+}
+
+// MergeOutcomes folds per-shard outcomes, in shard order, into one
+// campaign outcome — the merge behind Coordinator.Execute, exported for
+// outcomes gathered out-of-band (shard outcome files written by child
+// processes). Ledgers add up, failure and quarantine records are sorted
+// by app index, and the telemetry snapshots merge.
+func MergeOutcomes(outcomes []*ShardOutcome) (*CampaignOutcome, error) {
+	if len(outcomes) == 0 {
+		return nil, fmt.Errorf("dispatch: no shard outcomes to merge")
+	}
+	out := &CampaignOutcome{}
 	snaps := make([]obs.Snapshot, 0, len(outcomes))
 	for i, o := range outcomes {
 		if o == nil {
@@ -406,7 +427,6 @@ func (c *Coordinator) mergeOutcomes(outcomes []*ShardOutcome, takeovers int) (*C
 		out.Partials = append(out.Partials, o.Partial)
 		out.Segments = append(out.Segments, o.Records)
 		snaps = append(snaps, o.Snapshot)
-		c.publish(obs.Event{Type: obs.EvMergeProgress, App: -1, Shard: o.Index, Done: i + 1, Total: len(outcomes)})
 	}
 	sort.Slice(out.Failures, func(i, j int) bool { return out.Failures[i].AppIndex < out.Failures[j].AppIndex })
 	sort.Slice(out.Quarantined, func(i, j int) bool { return out.Quarantined[i].AppIndex < out.Quarantined[j].AppIndex })

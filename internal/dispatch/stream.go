@@ -228,17 +228,13 @@ func Stream(ctx context.Context, source AppSource, resolver nets.Resolver, cfg C
 	return f.events, nil
 }
 
-// Gather drains a stream, forwarding every event to the sinks, and
-// materializes the batch Result with runs in app-index order — the bridge
-// from the streaming API back to the original batch shape. On error the
-// returned Result still holds whatever completed before the stream ended,
-// so callers can report partial aggregates after a cancellation.
-func Gather(events <-chan RunEvent, sinks ...Sink) (*Result, error) {
-	type indexedRun struct {
-		idx int
-		run *attribution.RunResult
-	}
-	var runs []indexedRun
+// Drain drains a stream, forwarding every event to the sinks in order,
+// and returns the stream's closing summary. The error is a missing
+// summary's, then the summary's own, then the first sink error; the
+// summary (nil only when the stream closed without one) comes back
+// either way, so callers can report partial aggregates after a
+// cancellation.
+func Drain(events <-chan RunEvent, sinks ...Sink) (*StreamSummary, error) {
 	var summary *StreamSummary
 	var sinkErr error
 	for ev := range events {
@@ -250,16 +246,43 @@ func Gather(events <-chan RunEvent, sinks ...Sink) (*Result, error) {
 				sinkErr = err
 			}
 		}
-		switch ev.Kind {
-		case EventRun:
-			runs = append(runs, indexedRun{ev.AppIndex, ev.Run})
-		case EventSummary:
+		if ev.Kind == EventSummary {
 			summary = ev.Summary
 		}
 	}
-	sort.Slice(runs, func(i, j int) bool { return runs[i].idx < runs[j].idx })
+	switch {
+	case summary == nil:
+		return nil, fmt.Errorf("dispatch: stream cancelled before its summary was delivered")
+	case summary.Err != nil:
+		return summary, summary.Err
+	}
+	return summary, sinkErr
+}
+
+// RunCollector is a Sink that keeps every completed run, for Result.
+type RunCollector struct {
+	runs []indexedRun
+}
+
+type indexedRun struct {
+	idx int
+	run *attribution.RunResult
+}
+
+// Consume implements Sink.
+func (c *RunCollector) Consume(ev RunEvent) error {
+	if ev.Kind == EventRun {
+		c.runs = append(c.runs, indexedRun{ev.AppIndex, ev.Run})
+	}
+	return nil
+}
+
+// Result materializes the batch Result: the collected runs in app-index
+// order plus the summary's ledger (zero when summary is nil).
+func (c *RunCollector) Result(summary *StreamSummary) *Result {
+	sort.Slice(c.runs, func(i, j int) bool { return c.runs[i].idx < c.runs[j].idx })
 	res := &Result{}
-	for _, r := range runs {
+	for _, r := range c.runs {
 		res.Runs = append(res.Runs, r.run)
 	}
 	if summary != nil {
@@ -272,15 +295,17 @@ func Gather(events <-chan RunEvent, sinks ...Sink) (*Result, error) {
 		res.CollectorDropped = summary.CollectorDropped
 		res.Elapsed = summary.Elapsed
 	}
-	switch {
-	case summary == nil:
-		return res, fmt.Errorf("dispatch: stream cancelled before its summary was delivered")
-	case summary.Err != nil:
-		return res, summary.Err
-	case sinkErr != nil:
-		return res, sinkErr
-	}
-	return res, nil
+	return res
+}
+
+// Gather drains a stream like Drain and materializes the batch Result
+// with runs in app-index order — the bridge from the streaming API back
+// to the original batch shape. On error the returned Result still holds
+// whatever completed before the stream ended.
+func Gather(events <-chan RunEvent, sinks ...Sink) (*Result, error) {
+	var runs RunCollector
+	summary, err := Drain(events, append(sinks[:len(sinks):len(sinks)], &runs)...)
+	return runs.Result(summary), err
 }
 
 // fleetRun is the shared state of one streaming fleet execution.

@@ -1,6 +1,7 @@
 package pcap
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"net/netip"
@@ -151,6 +152,11 @@ func decodeDNSName(data []byte, off int) (string, int, error) {
 		}
 		if off+l > len(data) {
 			return "", 0, fmt.Errorf("pcap: DNS label runs past message end")
+		}
+		if bytes.IndexByte(data[off:off+l], '.') >= 0 {
+			// The dotted name could not tell this label's dot from a
+			// label boundary, nor re-encode it.
+			return "", 0, fmt.Errorf("pcap: DNS label %q contains a dot", data[off:off+l])
 		}
 		labels = append(labels, string(data[off:off+l]))
 		off += l

@@ -38,7 +38,7 @@ func MergeSegments(segments [][]byte) ([]Record, error) {
 }
 
 // WriteSegments merges shard segments and commits the canonical store
-// file — the store-merge path MergeShardOutcomes drives. Returns the
+// file — the store-merge path FinishCampaign drives. Returns the
 // record count written. Because the same Builder encodes both this and
 // the single-process path, an N-shard campaign's merged store is
 // byte-identical to a single-process same-seed store.

@@ -206,10 +206,10 @@ func (s *Store) Verify() error {
 type GroupDim int
 
 const (
-	GroupNone GroupDim = iota
-	GroupApp            // group by app sha
-	GroupOrigin         // group by origin library
-	GroupDomain         // group by domain
+	GroupNone   GroupDim = iota
+	GroupApp             // group by app sha
+	GroupOrigin          // group by origin library
+	GroupDomain          // group by domain
 )
 
 // Query is a conjunctive point/filter query. Empty string fields are

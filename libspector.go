@@ -26,7 +26,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"sync"
 	"time"
 
 	"libspector/internal/analysis"
@@ -368,57 +367,42 @@ func (e *Experiment) Run() error {
 // Result, Dataset, and Aggregates hold the partial view alongside the
 // returned error.
 func (e *Experiment) RunContext(ctx context.Context, sinks ...dispatch.Sink) error {
-	cfg, err := e.buildFleetConfig(e.cfg.Workers, e.cfg.Telemetry, e.attributor, dispatch.ShardRange{})
-	if err != nil {
-		return err
+	runs := &dispatch.RunCollector{}
+	out, runErr := e.runFleet(ctx, fleetSpec{
+		workers:   e.resolvedWorkers(),
+		tel:       e.cfg.Telemetry,
+		attr:      e.attributor,
+		foldShard: -1,
+		artifacts: e.cfg.ArtifactDir,
+		journal:   e.cfg.Journal,
+		resume:    e.cfg.Resume,
+	}, func() (folder, error) { return analysis.NewDatasetBuilder(e.domains) }, append(sinks, runs)...)
+	if out == nil {
+		return runErr
 	}
-	if e.cfg.ArtifactDir != "" {
-		artifacts, err := attachArtifacts(&cfg, e.cfg.ArtifactDir)
+	e.result = runs.Result(out.summary)
+
+	if len(out.folds) == 0 {
+		// No worker ever started: fall back to an empty builder so
+		// callers still get a finishable, empty dataset.
+		b, err := analysis.NewDatasetBuilder(e.domains)
 		if err != nil {
-			return fmt.Errorf("libspector: %w", err)
-		}
-		sinks = append(sinks, artifacts)
-	}
-	if e.cfg.Journal != "" {
-		hdr := e.campaignHeader(dispatch.ShardRange{})
-		if err := attachJournal(&cfg, e.cfg.Journal, hdr, e.cfg.Resume); err != nil {
-			return err
-		}
-	}
-	var records *dispatch.RecordSink
-	if e.cfg.ResultStore != "" {
-		records = dispatch.NewRecordSink()
-		sinks = append(sinks, records)
-	}
-	folds := e.installWorkerFolds(&cfg)
-	events, err := dispatch.Stream(ctx, e.world, e.world.Resolver, cfg)
-	if err != nil {
-		if cfg.Journal != nil {
-			// A close failure here must not eat the stream error, but an
-			// unsynced WAL is worth surfacing alongside it.
-			if cerr := cfg.Journal.Close(); cerr != nil {
-				err = fmt.Errorf("%w (journal close: %v)", err, cerr)
+			if runErr == nil {
+				runErr = err
 			}
+			return fmt.Errorf("libspector: fleet run: %w", runErr)
 		}
-		return fmt.Errorf("libspector: fleet run: %w", err)
+		out.folds = append(out.folds, b)
 	}
-	res, runErr := dispatch.Gather(events, sinks...)
-	e.result = res
-	if cfg.Journal != nil {
-		// Close syncs; a journal that cannot reach disk fails the run so
-		// the operator never trusts an unsynced WAL.
-		if cerr := cfg.Journal.Close(); cerr != nil && runErr == nil {
-			runErr = cerr
+	// Merge the per-worker builders in worker-index order, so the merged
+	// symbol numbering is a deterministic function of which worker folded
+	// which apps; the resolved dataset is invariant under the partitioning
+	// itself (TestDatasetBuilderMergeMatchesSingleBuilder).
+	builder := out.folds[0].(*analysis.DatasetBuilder)
+	for _, f := range out.folds[1:] {
+		if err := builder.MergeFrom(f.(*analysis.DatasetBuilder)); err != nil && runErr == nil {
+			runErr = err
 		}
-	}
-	// Gather has returned, so every worker has joined: the per-worker
-	// builders are quiescent and safe to merge on this goroutine.
-	builder, foldErr := folds.merge(e.domains)
-	if foldErr != nil && runErr == nil {
-		runErr = foldErr
-	}
-	if builder == nil {
-		return fmt.Errorf("libspector: fleet run: %w", runErr)
 	}
 
 	// Even after a cancellation or failure, resolve what did complete so
@@ -433,10 +417,10 @@ func (e *Experiment) RunContext(ctx context.Context, sinks ...dispatch.Sink) err
 	if runErr != nil {
 		return fmt.Errorf("libspector: fleet run: %w", runErr)
 	}
-	if records != nil {
+	if out.records != nil {
 		// Only a clean run flushes the store: a partial store would be
 		// mistaken for the campaign's full record set by offline queries.
-		seg, err := records.Seal()
+		seg, err := out.records.Seal()
 		if err == nil {
 			_, err = resultstore.WriteSegments(e.cfg.ResultStore, [][]byte{seg})
 		}
@@ -446,113 +430,148 @@ func (e *Experiment) RunContext(ctx context.Context, sinks ...dispatch.Sink) err
 	}
 	// Terminal event only on a clean finish, after durability: a consumer
 	// seeing campaign.done may trust the result store and figures.
-	if res != nil {
-		publishCampaignDone(e.cfg.Telemetry, res.Accounting)
-	}
+	publishCampaignDone(e.cfg.Telemetry, out.summary.Accounting)
 	return nil
 }
 
-// workerFolds holds the per-worker dataset builders the fleet's
-// WorkerFold hook populates. Each slot is owned by exactly one worker
-// goroutine while the stream runs; the events channel closes only after
-// every worker joins, so once Gather returns the slots are quiescent.
-type workerFolds struct {
-	mu    sync.Mutex
-	parts []*workerFold
+// folder is one worker's private analysis fold: an
+// *analysis.DatasetBuilder for whole-corpus runs (record set plus
+// aggregates), an *analysis.Accumulator for shards (a sealable partial).
+type folder interface {
+	Observe(appIndex int, run *attribution.RunResult) error
 }
 
-// workerFold is one worker's private fold state: a builder no other
-// goroutine touches, and the first fold error the worker hit.
-type workerFold struct {
-	builder *analysis.DatasetBuilder
-	err     error
+// fleetSpec is what one fleet execution needs beyond the experiment's
+// config: its worker count (> 0), telemetry, attributor, and app-index range,
+// where its evidence and journal live, and the shard tag its
+// analysis.fold ranking events carry (-1 for the whole campaign).
+type fleetSpec struct {
+	workers   int
+	tel       *obs.Telemetry
+	attr      *attribution.Attributor
+	shard     dispatch.ShardRange
+	foldShard int
+	artifacts string
+	journal   string
+	resume    bool
 }
 
-// installWorkerFolds wires per-worker analysis folds into the fleet
-// config. Every completed run folds into its worker's own
-// DatasetBuilder on the worker goroutine — the hot path never contends
-// on a shared accumulator — and merge combines the builders after the
-// stream drains. The fold span and counters match the old shared-sink
-// path: the worker's dispatch root span has already ended when the fold
-// runs, so the analysis-fold span still lands last on the app's trace.
-func (e *Experiment) installWorkerFolds(cfg *dispatch.Config) *workerFolds {
-	wf := &workerFolds{}
-	tel := e.cfg.Telemetry
-	// One campaign-wide ranking tracker feeds analysis.fold bus events;
-	// inert (one atomic load per run) when no bus is attached.
-	tracker := newFoldTracker(tel, -1)
-	cfg.WorkerFold = func(worker int) func(dispatch.RunEvent) {
-		builder, err := analysis.NewDatasetBuilder(e.domains)
-		st := &workerFold{builder: builder, err: err}
-		wf.mu.Lock()
-		for len(wf.parts) <= worker {
-			wf.parts = append(wf.parts, nil)
-		}
-		wf.parts[worker] = st
-		wf.mu.Unlock()
+// fleetOutcome is a drained fleet: its closing summary (nil if the stream
+// ended without one), the per-worker folds in worker-index order, and the
+// flattened attribution records when a result store is configured.
+type fleetOutcome struct {
+	summary *dispatch.StreamSummary
+	folds   []folder
+	records *dispatch.RecordSink
+}
+
+// runFleet is the one fleet wiring behind RunContext and every shard: it
+// attaches the artifact store, journal, and record sink, folds every
+// completed run into its worker's own fold (built by newFold) on the
+// worker goroutine — the hot path never contends on a shared fold —
+// streams the fleet, and drains it through the sinks. The folds are
+// quiescent when it returns: the event channel closes only after every
+// worker joins.
+//
+// A nil outcome means the fleet never started. Otherwise the outcome
+// holds whatever completed, alongside the first error: the stream's or a
+// sink's, then the journal close's (a journal that cannot reach disk
+// fails the run, so the operator never trusts an unsynced WAL), then a
+// worker fold's.
+func (e *Experiment) runFleet(ctx context.Context, spec fleetSpec, newFold func() (folder, error), sinks ...dispatch.Sink) (*fleetOutcome, error) {
+	cfg, err := e.buildFleetConfig(spec.workers, spec.tel, spec.attr, spec.shard)
+	if err != nil {
+		return nil, err
+	}
+	// Evidence and records are persisted before the caller's sinks see an
+	// event, so a sink that kills the process (the chaos hook) never
+	// outruns them.
+	var own []dispatch.Sink
+	if spec.artifacts != "" {
+		artifacts, err := attachArtifacts(&cfg, spec.artifacts)
 		if err != nil {
+			return nil, fmt.Errorf("libspector: %w", err)
+		}
+		own = append(own, artifacts)
+	}
+	if spec.journal != "" {
+		if err := attachJournal(&cfg, spec.journal, e.campaignHeader(spec.shard), spec.resume); err != nil {
+			return nil, err
+		}
+	}
+	out := &fleetOutcome{}
+	if e.cfg.ResultStore != "" {
+		out.records = dispatch.NewRecordSink()
+		own = append(own, out.records)
+	}
+
+	// One fold slot per worker, written only by its worker. The fold span
+	// and counters land on the app's trace after the worker's dispatch
+	// root span has ended, so the analysis-fold span is still the trace's
+	// last.
+	slots := make([]struct {
+		fold folder
+		err  error
+	}, spec.workers)
+	tel := spec.tel
+	// One ranking tracker per fleet feeds analysis.fold bus events; inert
+	// (one atomic load per run) when no bus is attached.
+	tracker := newFoldTracker(tel, spec.foldShard)
+	cfg.WorkerFold = func(worker int) func(dispatch.RunEvent) {
+		st := &slots[worker]
+		fold, err := newFold()
+		if err != nil {
+			st.err = err
 			return nil
 		}
+		st.fold = fold
 		return func(ev dispatch.RunEvent) {
 			if ev.Kind != dispatch.EventRun || ev.Run == nil {
 				return
 			}
-			var foldErr error
+			var err error
 			if tel != nil {
 				span := tel.Trace(dispatch.TraceID(ev.AppIndex)).Span(obs.SpanAnalysisFold, tel.Now())
-				foldErr = st.builder.Consume(ev)
+				err = st.fold.Observe(ev.AppIndex, ev.Run)
 				span.AttrInt("flows", int64(len(ev.Run.Flows))).End(tel.Now())
 				tel.Counter(obs.MAnalysisFolds).Inc()
 				tel.Counter(obs.MAnalysisFlowsFolded).Add(int64(len(ev.Run.Flows)))
 			} else {
-				foldErr = st.builder.Consume(ev)
+				err = st.fold.Observe(ev.AppIndex, ev.Run)
 			}
-			if foldErr != nil && st.err == nil {
-				st.err = foldErr
+			if err != nil && st.err == nil {
+				st.err = err
 			}
 			tracker.observe(ev.Run)
 		}
 	}
-	return wf
-}
 
-// merge combines the per-worker builders in worker-index order (so the
-// merged symbol numbering is a deterministic function of which worker
-// folded which apps) and surfaces the first per-worker fold error. The
-// resolved dataset is invariant under the partitioning itself — see
-// TestDatasetBuilderMergeMatchesSingleBuilder.
-func (wf *workerFolds) merge(domains analysis.DomainCategorizer) (*analysis.DatasetBuilder, error) {
-	var base *analysis.DatasetBuilder
-	var firstErr error
-	for _, st := range wf.parts {
-		if st == nil {
-			continue
+	events, err := dispatch.Stream(ctx, e.world, e.world.Resolver, cfg)
+	if err != nil {
+		if cfg.Journal != nil {
+			// A close failure here must not eat the stream error, but an
+			// unsynced WAL is worth surfacing alongside it.
+			if cerr := cfg.Journal.Close(); cerr != nil {
+				err = fmt.Errorf("%w (journal close: %v)", err, cerr)
+			}
 		}
-		if st.err != nil && firstErr == nil {
-			firstErr = st.err
-		}
-		if st.builder == nil {
-			continue
-		}
-		if base == nil {
-			base = st.builder
-			continue
-		}
-		if err := base.MergeFrom(st.builder); err != nil && firstErr == nil {
-			firstErr = err
+		return nil, fmt.Errorf("libspector: fleet run: %w", err)
+	}
+	out.summary, err = dispatch.Drain(events, append(own, sinks...)...)
+	if cfg.Journal != nil {
+		if cerr := cfg.Journal.Close(); cerr != nil && err == nil {
+			err = cerr
 		}
 	}
-	if base == nil {
-		// No worker ever started (stream failed before spawn, or every
-		// builder failed to construct): fall back to an empty builder so
-		// callers still get a finishable, empty dataset.
-		b, err := analysis.NewDatasetBuilder(domains)
-		if err != nil && firstErr == nil {
-			firstErr = err
+	for _, st := range slots {
+		if st.err != nil && err == nil {
+			err = st.err
 		}
-		base = b
+		if st.fold != nil {
+			out.folds = append(out.folds, st.fold)
+		}
 	}
-	return base, firstErr
+	return out, err
 }
 
 // Result returns the raw fleet result (nil before Run).

@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"sync"
 
 	"libspector/internal/analysis"
 	"libspector/internal/attribution"
@@ -105,14 +104,14 @@ func (e *Experiment) RunSharded(ctx context.Context, shards int) (*CampaignResul
 	if err != nil {
 		return nil, fmt.Errorf("libspector: sharded campaign: %w", err)
 	}
-	return e.finishCampaign(out, shards)
+	return e.FinishCampaign(out, shards)
 }
 
 // RunShard executes exactly one shard of an N-shard split — the child
-// process entry point behind fleetscan's -shard-index. The returned
+// process entry point behind the commands' -shard-index. The returned
 // outcome carries the shard's encoded partial and is ready for
 // dispatch.WriteShardOutcome. The parent process merges outcomes with
-// MergeShardOutcomes.
+// dispatch.MergeOutcomes and FinishCampaign.
 func (e *Experiment) RunShard(ctx context.Context, index, shards int) (*dispatch.ShardOutcome, error) {
 	if shards < 1 || index < 0 || index >= shards {
 		return nil, fmt.Errorf("libspector: shard index %d out of %d", index, shards)
@@ -125,225 +124,61 @@ func (e *Experiment) RunShard(ctx context.Context, index, shards int) (*dispatch
 	})
 }
 
-// MergeShardOutcomes merges shard outcomes collected from separate
-// processes (dispatch.ReadShardOutcome) into the campaign result,
-// finishing the figures from the decoded partials. Outcomes must be
-// passed in shard order and cover the whole plan.
-func (e *Experiment) MergeShardOutcomes(outcomes []*dispatch.ShardOutcome) (*CampaignResult, error) {
-	out := &dispatch.CampaignOutcome{}
-	merged, err := mergeOutcomeList(outcomes)
-	if err != nil {
-		return nil, err
-	}
-	*out = *merged
-	return e.finishCampaign(out, len(outcomes))
-}
-
-// FinishCampaign folds an already-merged coordinator outcome into the
-// campaign result — the process-mode path for callers that ran their own
-// dispatch.Coordinator (fleetscan's supervised parent) and so already
-// hold a CampaignOutcome rather than raw shard outcome files.
-func (e *Experiment) FinishCampaign(out *dispatch.CampaignOutcome, shards int) (*CampaignResult, error) {
-	return e.finishCampaign(out, shards)
-}
-
-// mergeOutcomeList reuses the coordinator's merge for outcomes gathered
-// out-of-band (the process-mode path).
-func mergeOutcomeList(outcomes []*dispatch.ShardOutcome) (*dispatch.CampaignOutcome, error) {
-	c := &dispatch.Coordinator{
-		Plan: dispatch.ShardPlan{TotalApps: totalOf(outcomes), Shards: max(len(outcomes), 1)},
-		Run: func(ctx context.Context, task dispatch.ShardTask) (*dispatch.ShardOutcome, error) {
-			return outcomes[task.Index], nil
-		},
-	}
-	return c.Execute(context.Background())
-}
-
-func totalOf(outcomes []*dispatch.ShardOutcome) int {
-	total := 0
-	for _, o := range outcomes {
-		if o != nil {
-			total += o.Range.Len()
-		}
-	}
-	return total
-}
-
-// runShardTask is the in-process ShardRunner: one Stream restricted to
-// the task's range, folded into a sealable analysis partial.
+// runShardTask is the in-process ShardRunner: the fleet restricted to the
+// task's range, with a private telemetry registry and attributor, folded
+// into per-worker accumulators that seal into the shard's partial.
 func (e *Experiment) runShardTask(ctx context.Context, task dispatch.ShardTask) (*dispatch.ShardOutcome, error) {
 	shardTel := e.shardTelemetry()
 	attributor := attribution.NewAttributor(e.domains)
 	attributor.SetTelemetry(shardTel)
-
-	cfg, err := e.buildFleetConfig(task.Workers, shardTel, attributor, task.Range)
-	if err != nil {
-		return nil, err
+	spec := fleetSpec{
+		workers: task.Workers,
+		tel:     shardTel,
+		attr:    attributor,
+		shard:   task.Range,
+		// The shard's analysis.fold ranking events carry its index so the
+		// dashboard can merge per-shard "top libraries so far" views.
+		foldShard: task.Index,
 	}
-	var artifactSink dispatch.Sink
 	if e.cfg.ArtifactDir != "" {
-		artifacts, err := attachArtifacts(&cfg, ShardArtifactDir(e.cfg.ArtifactDir, task.Index))
-		if err != nil {
-			return nil, fmt.Errorf("libspector: %w", err)
-		}
-		artifactSink = artifacts
+		spec.artifacts = ShardArtifactDir(e.cfg.ArtifactDir, task.Index)
 	}
 	if e.cfg.Journal != "" {
-		path := ShardJournalPath(e.cfg.Journal, task.Index)
+		spec.journal = ShardJournalPath(e.cfg.Journal, task.Index)
 		// Resume on takeover, or when the whole campaign is a resume —
 		// unless this shard never got far enough to write a journal.
-		resume := e.cfg.Resume || task.Attempt > 0
-		if resume {
-			if _, statErr := os.Stat(path); statErr != nil {
-				resume = false
+		spec.resume = e.cfg.Resume || task.Attempt > 0
+		if spec.resume {
+			if _, err := os.Stat(spec.journal); err != nil {
+				spec.resume = false
 			}
 		}
-		if err := attachJournal(&cfg, path, e.campaignHeader(task.Range), resume); err != nil {
-			return nil, err
-		}
 	}
-
-	// Per-worker fold state: each shard worker accumulates into a private
-	// Accumulator on its own goroutine (the stream's hot path never
-	// contends on a shared fold), and the accumulators are sealed and
-	// merged into the shard partial after the stream drains. The fold
-	// telemetry matches the old shared-fold drain loop so merged shard
-	// snapshots still reproduce the single-process registry.
-	type shardFold struct {
-		acc *analysis.Accumulator
-		err error
+	var sinks []dispatch.Sink
+	if e.cfg.ChaosKillAfterRuns > 0 {
+		sinks = append(sinks, chaosKill(e.cfg.ChaosKillAfterRuns))
 	}
-	var foldMu sync.Mutex
-	var folds []*shardFold
-	// The shard's analysis.fold ranking events carry its index so the
-	// dashboard can merge per-shard "top libraries so far" views.
-	tracker := newFoldTracker(shardTel, task.Index)
-	cfg.WorkerFold = func(worker int) func(dispatch.RunEvent) {
-		acc, err := analysis.NewAccumulator(e.domains)
-		st := &shardFold{acc: acc, err: err}
-		foldMu.Lock()
-		for len(folds) <= worker {
-			folds = append(folds, nil)
-		}
-		folds[worker] = st
-		foldMu.Unlock()
-		if err != nil {
-			return nil
-		}
-		return func(ev dispatch.RunEvent) {
-			if ev.Kind != dispatch.EventRun || ev.Run == nil {
-				return
-			}
-			var foldErr error
-			if shardTel != nil {
-				span := shardTel.Trace(dispatch.TraceID(ev.AppIndex)).Span(obs.SpanAnalysisFold, shardTel.Now())
-				foldErr = st.acc.Observe(ev.AppIndex, ev.Run)
-				span.AttrInt("flows", int64(len(ev.Run.Flows))).End(shardTel.Now())
-				shardTel.Counter(obs.MAnalysisFolds).Inc()
-				shardTel.Counter(obs.MAnalysisFlowsFolded).Add(int64(len(ev.Run.Flows)))
-			} else {
-				foldErr = st.acc.Observe(ev.AppIndex, ev.Run)
-			}
-			if foldErr != nil && st.err == nil {
-				st.err = foldErr
-			}
-			tracker.observe(ev.Run)
-		}
+	out, err := e.runFleet(ctx, spec, func() (folder, error) { return analysis.NewAccumulator(e.domains) }, sinks...)
+	if out == nil {
+		return nil, err
 	}
-
-	var records *dispatch.RecordSink
-	if e.cfg.ResultStore != "" {
-		records = dispatch.NewRecordSink()
-	}
-
-	events, err := dispatch.Stream(ctx, e.world, e.world.Resolver, cfg)
 	if err != nil {
-		if cfg.Journal != nil {
-			if cerr := cfg.Journal.Close(); cerr != nil {
-				err = fmt.Errorf("%w (journal close: %v)", err, cerr)
-			}
-		}
-		return nil, fmt.Errorf("libspector: shard fleet: %w", err)
+		return nil, fmt.Errorf("libspector: shard %d: %w", task.Index, err)
 	}
-
-	// Drain the stream directly instead of through Gather: a shard has no
-	// use for materialized runs, only the folded partial (built on the
-	// worker goroutines above) and, when a result store is configured,
-	// the flattened attribution records.
-	var summary *dispatch.StreamSummary
-	var sinkErr error
-	terminal := 0
-	for ev := range events {
-		if artifactSink != nil {
-			if err := artifactSink.Consume(ev); err != nil && sinkErr == nil {
-				sinkErr = err
-			}
-		}
-		if records != nil {
-			if err := records.Consume(ev); err != nil && sinkErr == nil {
-				sinkErr = err
-			}
-		}
-		switch ev.Kind {
-		case dispatch.EventRun, dispatch.EventSkip, dispatch.EventFailure, dispatch.EventQuarantine:
-			terminal++
-			// The chaos kill hook: die — really die, SIGKILL — after N
-			// terminal outcomes. Unsynced journal frames are lost exactly
-			// as a real crash loses them; the takeover attempt resumes
-			// from whatever the journal fsynced.
-			if e.cfg.ChaosKillAfterRuns > 0 && terminal >= e.cfg.ChaosKillAfterRuns {
-				faults.KillSelf()
-			}
-		case dispatch.EventSummary:
-			summary = ev.Summary
-		}
-	}
-	if cfg.Journal != nil {
-		if cerr := cfg.Journal.Close(); cerr != nil && sinkErr == nil {
-			sinkErr = cerr
-		}
-	}
-	// The events channel closes only after every worker joins, so the
-	// fold slots are quiescent here.
-	parts := make([]*analysis.Partial, 0, len(folds))
-	for _, st := range folds {
-		if st == nil {
-			continue
-		}
-		if st.err != nil && sinkErr == nil {
-			sinkErr = st.err
-		}
-		if st.acc == nil {
-			continue
-		}
-		p, perr := st.acc.Seal()
-		if perr != nil {
-			if sinkErr == nil {
-				sinkErr = perr
-			}
-			continue
-		}
-		parts = append(parts, p)
-	}
-	switch {
-	case summary == nil:
-		return nil, fmt.Errorf("libspector: shard %d stream ended without a summary", task.Index)
-	case summary.Err != nil:
-		return nil, fmt.Errorf("libspector: shard %d: %w", task.Index, summary.Err)
-	case sinkErr != nil:
-		return nil, fmt.Errorf("libspector: shard %d: %w", task.Index, sinkErr)
-	}
-
-	if len(parts) == 0 {
+	if len(out.folds) == 0 {
 		// A shard whose workers never started still owes an (empty)
-		// partial: seal a fresh accumulator.
-		acc, aerr := analysis.NewAccumulator(e.domains)
-		if aerr != nil {
-			return nil, fmt.Errorf("libspector: shard %d: %w", task.Index, aerr)
+		// partial.
+		acc, err := analysis.NewAccumulator(e.domains)
+		if err != nil {
+			return nil, fmt.Errorf("libspector: shard %d: %w", task.Index, err)
 		}
-		p, perr := acc.Seal()
-		if perr != nil {
-			return nil, fmt.Errorf("libspector: shard %d: %w", task.Index, perr)
+		out.folds = append(out.folds, acc)
+	}
+	parts := make([]*analysis.Partial, 0, len(out.folds))
+	for _, f := range out.folds {
+		p, err := f.(*analysis.Accumulator).Seal()
+		if err != nil {
+			return nil, fmt.Errorf("libspector: shard %d: %w", task.Index, err)
 		}
 		parts = append(parts, p)
 	}
@@ -356,11 +191,11 @@ func (e *Experiment) runShardTask(ctx context.Context, task dispatch.ShardTask) 
 		return nil, fmt.Errorf("libspector: shard %d: %w", task.Index, err)
 	}
 	var seg []byte
-	if records != nil {
+	if out.records != nil {
 		// The shard owns a contiguous app-index range, so its sorted
 		// segment concatenates with its siblings (in shard order) into the
 		// globally canonical record order the merged store depends on.
-		seg, err = records.Seal()
+		seg, err = out.records.Seal()
 		if err != nil {
 			return nil, fmt.Errorf("libspector: shard %d: %w", task.Index, err)
 		}
@@ -368,13 +203,30 @@ func (e *Experiment) runShardTask(ctx context.Context, task dispatch.ShardTask) 
 	return &dispatch.ShardOutcome{
 		Index:       task.Index,
 		Range:       task.Range,
-		Accounting:  summary.Accounting,
-		Failures:    summary.Failures,
-		Quarantined: summary.Quarantined,
+		Accounting:  out.summary.Accounting,
+		Failures:    out.summary.Failures,
+		Quarantined: out.summary.Quarantined,
 		Snapshot:    shardTel.Metrics().Snapshot(),
 		Partial:     enc,
 		Records:     seg,
 	}, nil
+}
+
+// chaosKill is the ChaosKillAfterRuns hook: a sink that dies — really
+// dies, SIGKILL — after n terminal outcomes. Unsynced journal frames are
+// lost exactly as a real crash loses them; the takeover attempt resumes
+// from whatever the journal fsynced.
+func chaosKill(n int) dispatch.Sink {
+	terminal := 0
+	return dispatch.SinkFunc(func(ev dispatch.RunEvent) error {
+		switch ev.Kind {
+		case dispatch.EventRun, dispatch.EventSkip, dispatch.EventFailure, dispatch.EventQuarantine:
+			if terminal++; terminal >= n {
+				faults.KillSelf()
+			}
+		}
+		return nil
+	})
 }
 
 // shardTelemetry builds a shard's private telemetry, mode-matched to the
@@ -398,11 +250,14 @@ func (e *Experiment) shardTelemetry() *obs.Telemetry {
 	return tel
 }
 
-// finishCampaign decodes and merges the shard partials, finalizes the
-// detector, and finishes the figures. The merged aggregates are also
-// installed on the experiment so the usual accessors (Aggregates) and
-// report rendering keep working after a sharded run.
-func (e *Experiment) finishCampaign(out *dispatch.CampaignOutcome, shards int) (*CampaignResult, error) {
+// FinishCampaign decodes and merges the shard partials of a merged
+// outcome, finalizes the detector, and finishes the figures — the last
+// step of RunSharded, and the process-mode path for callers that ran
+// their own dispatch.Coordinator (fleetscan's supervised parent) or
+// merged shard outcome files with dispatch.MergeOutcomes. The merged
+// aggregates are also installed on the experiment so the usual accessors
+// (Aggregates) and report rendering keep working after a sharded run.
+func (e *Experiment) FinishCampaign(out *dispatch.CampaignOutcome, shards int) (*CampaignResult, error) {
 	parts := make([]*analysis.Partial, 0, len(out.Partials))
 	for i, enc := range out.Partials {
 		p, err := analysis.DecodePartial(enc, e.domains)

@@ -258,7 +258,11 @@ func TestMergeShardOutcomesProcessMode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := exp.MergeShardOutcomes(outcomes)
+	merged, err := dispatch.MergeOutcomes(outcomes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := exp.FinishCampaign(merged, n)
 	if err != nil {
 		t.Fatal(err)
 	}
